@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test obs-smoke chaos bench bench-wallclock bench-parallel \
+.PHONY: verify test obs-smoke chaos bench perfbench-smoke bench-parallel \
 	bench-pipeline bench-kernels serve-smoke tune-smoke coverage lint
 
 # Default gate: lint (when ruff is available), tier-1 tests, and the
@@ -55,12 +55,14 @@ bench-pipeline:
 serve-smoke:
 	$(PYTHON) -m repro.serve smoke
 
-# Wall-clock fast-path smoke: one sample per mode, digest identity
-# checked, and a deliberately generous regression floor (typical
-# speedups are ~1.5-2x; 0.2x only trips if a change re-serialises the
-# hot path or breaks the off-mode baseline outright).
-bench-wallclock:
-	$(PYTHON) -m repro.bench wallclock --repeats 1 --min-speedup 0.2
+# Repo-benchmark smoke: the benchmark's own test, then one round (or a
+# few served jobs) of every workload untraced and traced.  Catches any
+# src/ change that breaks the benchmark's outside-in wrapping or its
+# correctness checks; it times nothing against a bound.
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench
+	$(PYTHON) perfbench/run.py --workload all --smoke --trace 0
+	$(PYTHON) perfbench/run.py --workload all --smoke --trace 1
 
 # Process-parallel smoke: serial vs one-OS-process-per-rank, digest
 # identity checked on every row.  The speedup floor is generous (real

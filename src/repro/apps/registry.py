@@ -1,8 +1,8 @@
 """Named application workloads: one registry from app names to runs.
 
 Before this module each CLI kept its own ad-hoc app table — the obs CLI
-(:mod:`repro.obs.workloads`), the wallclock/parallel bench ablations
-(:mod:`repro.bench.wallclock`), the cross-backend digest matrix
+(:mod:`repro.obs.workloads`), the host-time bench ablations
+(:mod:`repro.bench.parallel`), the cross-backend digest matrix
 (:mod:`repro.verify.crossbackend`), and the conformance registry
 (:mod:`repro.verify.conformance`) all re-spelled "how do I run mergesort
 on 4 ranks" with slightly different inputs.  The job server

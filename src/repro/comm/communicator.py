@@ -60,7 +60,7 @@ class Comm(RankContext):
 
     def _validate_send_tag(self, tag: int) -> None:
         # Mirror of send/isend's user-tag window, for the fused sendrecv
-        # fast path (which bypasses those wrappers).
+        # (which bypasses those wrappers).
         if not (0 <= tag < MAX_USER_TAG or tag >= _COLL_TAG_BASE):
             raise CommError(f"user tags must be < {MAX_USER_TAG} (got {tag})")
 

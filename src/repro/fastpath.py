@@ -1,69 +1,16 @@
-"""The wall-clock fast-path switch.
+"""The retired wall-clock fast-path switch.
 
-The simulator carries several *host-side* optimisations that change no
-virtual timestamp, digest, or trace: copy-on-write payload transfer,
-per-channel indexed mailboxes, bind-once metric handles, and the heap
-scheduler.  They are all gated on one process-wide flag so that
-
-- ``python -m repro.bench wallclock`` can measure the honest ablation
-  (fast path on vs off) on the same workload, and
-- the A/B identity tests can prove the two modes are observationally
-  equivalent (bitwise-identical clocks, results, and schedules).
-
-The flag is read *at construction time* by the backend and its mailboxes
-(toggling mid-run is not supported) and per call by the payload-transfer
-and metrics layers.  Default: enabled; set ``REPRO_FASTPATH=0`` in the
-environment to start disabled.
-
-This module sits below everything else in the layering (it imports
-nothing from the package), so even :mod:`repro.obs.metrics` can consult
-it without cycles.
+Copy-on-write payload transfer, per-channel indexed mailboxes, bind-once
+metric handles and the heap scheduler were once selectable behind an
+environment switch.  They are now simply how the runtime works, and the
+switch is gone.  :func:`enabled` remains because the repo benchmark
+(``perfbench/``) records it in every run's resolved configuration and
+runs unchanged against this code.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from collections.abc import Iterator
-
-_enabled: bool = os.environ.get("REPRO_FASTPATH", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
-
 
 def enabled() -> bool:
-    """True when the wall-clock fast path is active."""
-    return _enabled
-
-
-def set_enabled(flag: bool) -> bool:
-    """Set the fast-path flag; returns the previous value.
-
-    Only affects runtime objects constructed *after* the call — a
-    running backend keeps the mode it was built with.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    return previous
-
-
-@contextlib.contextmanager
-def forced(flag: bool) -> Iterator[None]:
-    """Force the fast path on/off for the duration of the block.
-
-    The A/B lever used by the wallclock bench and the identity tests::
-
-        with fastpath.forced(False):
-            baseline = spmd_run(...)   # naive host paths
-        with fastpath.forced(True):
-            fast = spmd_run(...)       # optimised host paths
-        assert baseline.times == fast.times
-    """
-    previous = set_enabled(flag)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
+    """Always True: the runtime has exactly one path."""
+    return True

@@ -3,8 +3,7 @@
 Programs declare *what* each grid sweep reads and writes (``Dat`` data
 descriptors, ``READ``/``WRITE``/``RW``/``INC`` access modes with halo
 depths, ``Kernel`` bodies); the runtime fuses adjacent compatible
-loops, hoists and packs ghost exchanges, and optionally JITs
-expression kernels (``REPRO_KERNEL_JIT``).  ``REPRO_KERNEL_FUSION=0``
+loops, and hoists and packs ghost exchanges.  ``REPRO_KERNEL_FUSION=0``
 switches to loop-by-loop execution that is bitwise- and
 virtual-clock-identical.  See ``docs/kernel_layer.md``.
 """
@@ -17,14 +16,15 @@ from repro.kernels.ir import (
     Access,
     Arg,
     Dat,
+    ExprKernel,
     Kernel,
     ParLoop,
+    Ref,
     RegionKernel,
     StencilView,
     dat_of,
     split_deep_shell,
 )
-from repro.kernels.jit import ExprKernel, Ref, jit_forced, jit_mode, set_jit
 from repro.kernels.plan import LoopGroup, build_groups, can_fuse, plan_exchanges
 from repro.kernels.runtime import (
     KernelEngine,
@@ -57,7 +57,4 @@ __all__ = [
     "fusion_enabled",
     "fusion_forced",
     "set_fusion",
-    "jit_mode",
-    "set_jit",
-    "jit_forced",
 ]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -229,6 +230,61 @@ class RegionKernel(Kernel):
     :class:`Kernel`; the body slices its own grids."""
 
     kind = "region"
+
+
+@dataclass(frozen=True)
+class Ref:
+    """A binding to one loop argument: *index* into the arg list, read
+    at *offset* (a stencil shift; ``None`` means the aligned view)."""
+
+    index: int
+    offset: tuple[int, ...] | None = None
+
+
+class ExprKernel(Kernel):
+    """A kernel body given as one elementwise expression string.
+
+    ``bindings`` maps each free name of *expr* to a :class:`Ref` (a view
+    of one loop argument, optionally stencil-shifted) or a plain scalar
+    constant.  The result is assigned into argument 0's view, evaluated
+    by numpy.  The expression is self-describing for docs and traces.
+    Example — the Jacobi sweep::
+
+        ExprKernel(
+            "0.25 * (un + us + uw + ue - h2 * f)",
+            {"un": Ref(1, (-1, 0)), "us": Ref(1, (1, 0)),
+             "uw": Ref(1, (0, -1)), "ue": Ref(1, (0, 1)),
+             "f": Ref(2), "h2": h2},
+            name="jacobi",
+        )
+    """
+
+    __slots__ = ("expr", "bindings", "_code")
+
+    def __init__(self, expr: str, bindings: dict[str, Ref | float], name: str = "expr"):
+        super().__init__(self._evaluate, name=name)
+        self.expr = expr
+        self.bindings = dict(bindings)
+        self._code = compile(expr, f"<kernel {name}>", "eval")
+
+    def _evaluate(self, out: np.ndarray, *rest: Any) -> None:
+        views = (out, *rest)
+        ns: dict[str, object] = {}
+        for name, binding in self.bindings.items():
+            if isinstance(binding, Ref):
+                view = views[binding.index]
+                if isinstance(view, StencilView):
+                    ns[name] = view[binding.offset] if binding.offset else view.center
+                elif binding.offset and any(binding.offset):
+                    raise ArchetypeError(
+                        f"binding {name!r} has offset {binding.offset} but its "
+                        "argument is pointwise (declare a halo on the READ arg)"
+                    )
+                else:
+                    ns[name] = view
+            else:
+                ns[name] = binding
+        out[...] = eval(self._code, {"__builtins__": {}}, ns)
 
 
 class ParLoop:

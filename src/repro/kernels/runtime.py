@@ -44,7 +44,6 @@ from repro.kernels.ir import (
     region_size,
     split_deep_shell,
 )
-from repro.kernels.jit import ExprKernel
 from repro.kernels.plan import LoopGroup, build_groups, plan_exchanges
 from repro.obs.metrics import counter_handle
 
@@ -306,8 +305,4 @@ class KernelEngine:
         if kernel.kind == "region":
             kernel.fn(region)
             return
-        views = build_views(loop, region)
-        if isinstance(kernel, ExprKernel):
-            kernel.execute(views)
-        else:
-            kernel.fn(*views)
+        kernel.fn(*build_views(loop, region))

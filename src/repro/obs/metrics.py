@@ -22,9 +22,8 @@ swap is detected by identity comparison and the handle re-binds against
 the new registry on its next use.
 
 This module sits below :mod:`repro.runtime` in the layering: it imports
-nothing from the rest of the package except the dependency-free
-:mod:`repro.fastpath` switch, so the runtime can import it without
-cycles.
+nothing from the rest of the package, so the runtime can import it
+without cycles.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ import contextlib
 import threading
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-
-from repro import fastpath
 
 #: default histogram buckets for virtual-time observations (seconds):
 #: one decade per bucket from 1 microsecond to 100 seconds
@@ -323,10 +320,7 @@ class _Handle:
     Created at import time by instrumentation sites; resolves its
     instrument on first use and re-resolves automatically whenever the
     default registry is swapped (:func:`scoped_registry` /
-    :func:`set_registry`), detected by a plain identity check.  With the
-    fast path disabled (:mod:`repro.fastpath`), every event takes the
-    historical full route — lock, dict lookup, get-or-create — so the
-    wallclock ablation measures what handles actually save.
+    :func:`set_registry`), detected by a plain identity check.
     """
 
     __slots__ = ("name", "help", "_registry", "_instrument")
@@ -352,12 +346,11 @@ class _Handle:
 class CounterHandle(_Handle):
     """Cached handle to a :class:`Counter` (see :func:`counter_handle`).
 
-    The fast branch mutates the counter without taking its lock: the
+    The handle mutates the counter without taking its lock: the
     run-to-block backends have exactly one live thread, so the update is
     race-free by construction.  On the threaded backend a concurrent
     increment can (rarely, under free-running GIL preemption) be lost;
-    metrics are observability, not semantics, and the trade is accepted
-    and measured by the wallclock ablation.
+    metrics are observability, not semantics, and the trade is accepted.
     """
 
     def _create(self, registry: MetricsRegistry) -> Counter:
@@ -365,9 +358,6 @@ class CounterHandle(_Handle):
 
     def inc(self, amount: float = 1.0) -> None:
         registry = _default_registry
-        if not fastpath._enabled:
-            registry.counter(self.name, self.help).inc(amount)
-            return
         if self._registry is not registry:
             self._instrument = self._create(registry)
             self._registry = registry
@@ -377,7 +367,7 @@ class CounterHandle(_Handle):
 class GaugeHandle(_Handle):
     """Cached handle to a :class:`Gauge` (see :func:`gauge_handle`).
 
-    Lock-free on the fast branch, like :class:`CounterHandle`.
+    Lock-free, like :class:`CounterHandle`.
     """
 
     def _create(self, registry: MetricsRegistry) -> Gauge:
@@ -385,9 +375,6 @@ class GaugeHandle(_Handle):
 
     def set(self, value: float) -> None:
         registry = _default_registry
-        if not fastpath._enabled:
-            registry.gauge(self.name, self.help).set(value)
-            return
         if self._registry is not registry:
             self._instrument = self._create(registry)
             self._registry = registry
@@ -395,9 +382,6 @@ class GaugeHandle(_Handle):
 
     def inc(self, amount: float = 1.0) -> None:
         registry = _default_registry
-        if not fastpath._enabled:
-            registry.gauge(self.name, self.help).inc(amount)
-            return
         if self._registry is not registry:
             self._instrument = self._create(registry)
             self._registry = registry
@@ -410,9 +394,9 @@ class GaugeHandle(_Handle):
 class HistogramHandle(_Handle):
     """Cached handle to a :class:`Histogram` (see :func:`histogram_handle`).
 
-    Lock-free on the fast branch, like :class:`CounterHandle`; the
-    bucket search uses ``bisect_left``, which lands on the same bucket
-    as :meth:`Histogram.observe`'s linear scan (first bound >= value,
+    Lock-free, like :class:`CounterHandle`; the bucket search uses
+    ``bisect_left``, which lands on the same bucket as
+    :meth:`Histogram.observe`'s linear scan (first bound >= value,
     overflow past the end).
     """
 
@@ -427,9 +411,6 @@ class HistogramHandle(_Handle):
 
     def observe(self, value: float) -> None:
         registry = _default_registry
-        if not fastpath._enabled:
-            registry.histogram(self.name, self.buckets, self.help).observe(value)
-            return
         if self._registry is not registry:
             self._instrument = self._create(registry)
             self._registry = registry

@@ -33,6 +33,10 @@ HTTP API (all bodies JSON)::
     GET  /v1/health           workers, queue depth, job counts
     GET  /v1/metrics          the server's metrics registry snapshot
     POST /v1/shutdown         stop the server
+
+A POST body is read only after its ``Content-Length`` is checked: a
+malformed or negative length is refused with 400 and one above
+:data:`MAX_BODY_BYTES` with 413, both without reading the body.
 """
 
 from __future__ import annotations
@@ -90,6 +94,13 @@ _VERIFY_FAILURES = counter_handle(
     help="sampled hits whose re-execution diverged (should stay 0 forever)",
 )
 _DEPTH = gauge_handle("core.serve.queue.depth", help="jobs waiting for a worker")
+_REJECTED = counter_handle(
+    "core.serve.requests.rejected",
+    help="request bodies refused unread (bad or oversized Content-Length)",
+)
+
+#: largest request body read (bytes); a job request is a few hundred bytes
+MAX_BODY_BYTES = 1 << 20
 
 #: dispatcher tick (seconds): results latency and failure-detection grain
 _TICK = 0.02
@@ -104,6 +115,14 @@ class _HTTPServer(ThreadingHTTPServer):
     def __init__(self, address, serve: "ServeServer"):
         self.serve = serve
         super().__init__(address, _Handler)
+
+
+class _BodyRejected(Exception):
+    """A request body refused before reading it; carries the HTTP status."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -122,7 +141,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The JSON request body, read only after its length is checked:
+        a malformed or negative ``Content-Length`` is a 400, one above
+        :data:`MAX_BODY_BYTES` a 413, and neither reads a byte."""
+        raw = self.headers.get("Content-Length") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            _REJECTED.inc()
+            raise _BodyRejected(400, f"malformed Content-Length {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            _REJECTED.inc()
+            raise _BodyRejected(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         return loads(self.rfile.read(length)) if length else {}
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib handler API
@@ -136,6 +167,10 @@ class _Handler(BaseHTTPRequestHandler):
                 serve.request_shutdown()
             else:
                 self._reply(404, {"error": f"no such endpoint {self.path}"})
+        except _BodyRejected as exc:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
+            self._reply(exc.status, {"error": str(exc)})
         except ServeError as exc:
             self._reply(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - surfaced to the client

@@ -199,8 +199,9 @@ class TestBenchArtifact:
             assert best > series[0]["throughput"], series
             for row in series:
                 assert row["latency"] > 0.0 and row["makespan"] > 0.0
-        # Both host-time ablations ride along, digest-identical rows only.
-        assert {r["app"] for r in data["wallclock"]["rows"]} == {
+        # The serial-vs-parallel host-time ablation rides along,
+        # digest-identical rows only.
+        assert {r["app"] for r in data["parallel"]["rows"]} == {
             "poisson",
             "fft2d",
             "mergesort",

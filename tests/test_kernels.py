@@ -26,7 +26,6 @@ from repro.kernels import (
     Ref,
     build_groups,
     fusion_forced,
-    jit_forced,
 )
 from repro.obs.metrics import scoped_registry
 from repro.verify import fuzzed_schedule
@@ -297,35 +296,13 @@ class TestTiling:
 
 
 class TestExprKernelJIT:
-    def test_missing_engine_falls_back_to_numpy(self):
-        """Neither numexpr nor numba ships in this environment: asking
-        for them must fall back (counted) and still produce the exact
-        numpy-eval result."""
-        kernel = ExprKernel("2.0 * x + c", {"x": Ref(1), "c": 3.0}, name="axpc")
-        x = np.arange(12.0).reshape(3, 4)
-        out = np.empty_like(x)
-        with jit_forced("numexpr"), scoped_registry() as reg:
-            kernel.execute([out, x])
-            snap = reg.snapshot()
-        assert np.array_equal(out, 2.0 * x + 3.0)
-        assert snap["core.kernels.jit_fallbacks"]["value"] >= 1
-
-    def test_jit_off_by_default_end_to_end(self):
-        """The poisson run's jacobi ExprKernel evaluates via numpy when
-        the switch is off — no fallback is counted because no engine was
-        requested."""
-        with scoped_registry() as reg:
-            run_app("poisson")
-            snap = reg.snapshot()
-        assert snap.get("core.kernels.jit_fallbacks", {"value": 0})["value"] == 0
-
     def test_pointwise_offset_rejected(self):
         from repro.errors import ArchetypeError
 
         kernel = ExprKernel("x", {"x": Ref(1, (1, 0))}, name="bad")
         x = np.zeros((3, 3))
         with pytest.raises(ArchetypeError):
-            kernel.execute([np.empty_like(x), x])
+            kernel.fn(np.empty_like(x), x)
 
 
 class TestShims:

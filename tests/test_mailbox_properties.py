@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro import fastpath
 from repro.runtime.mailbox import Mailbox, _LinearMailbox
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
 
@@ -175,14 +174,6 @@ def test_ctx_isolation(seed):
         assert got == expected
 
 
-def _indexed_mailbox() -> Mailbox:
-    """An indexed (fast-path) mailbox regardless of the suite's mode."""
-    with fastpath.forced(True):
-        box = Mailbox()
-    assert type(box) is Mailbox
-    return box
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_indexed_mailbox_equals_linear_reference(seed):
     """Drive the channel-indexed mailbox and the historical linear-scan
@@ -191,7 +182,7 @@ def test_indexed_mailbox_equals_linear_reference(seed):
     observable — selected messages, membership, post fulfilment, queue
     length — must agree at every step."""
     rng = random.Random(1000 + seed)
-    fast = _indexed_mailbox()
+    fast = Mailbox()
     ref = _LinearMailbox()
     feed = iter(_random_messages(rng, 80))
     live_posts: list[tuple[int, int]] = []  # (fast post_id, ref post_id)
@@ -264,7 +255,7 @@ def test_exact_match_is_constant_time_at_depth_1000():
     depth = 1000
     best_fast, best_ref = float("inf"), float("inf")
     for _ in range(3):
-        fast = _indexed_mailbox()
+        fast = Mailbox()
         _deep_queue(fast, depth)
         best_fast = min(best_fast, _drain_exact(fast, depth))
         ref = _LinearMailbox()

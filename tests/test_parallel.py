@@ -95,7 +95,7 @@ class TestDigestIdentity:
     @pytest.mark.parametrize("backend", ["threads", "parallel"])
     def test_app_matrix(self, app, backend, monkeypatch):
         """The cross-backend matrix: deterministic × threads × parallel."""
-        from repro.bench.wallclock import WORKLOADS
+        from repro.bench.parallel import WORKLOADS
 
         runner, _ = WORKLOADS[app]
         monkeypatch.delenv("REPRO_BACKEND", raising=False)

@@ -10,6 +10,7 @@ digest).
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -27,7 +28,7 @@ from repro.serve.executor import execute
 from repro.serve.pool import WorkerPool, fork_available
 from repro.serve.protocol import JobRequest, ServeError
 from repro.serve.scheduler import AdmissionQueue, Job
-from repro.serve.server import ServeServer
+from repro.serve.server import MAX_BODY_BYTES, ServeServer
 from repro.verify import fuzzed_schedule
 from repro.verify.digest import value_digest
 from tests.conftest import wait_until
@@ -351,6 +352,41 @@ class TestServerE2E:
         assert metrics["core.serve.jobs.submitted"]["value"] >= 1
         # Per-job snapshots merged into the server registry on completion.
         assert "comm.requests.posted" in metrics
+
+
+class TestRequestBodyLimits:
+    """Bad ``Content-Length`` headers are refused before any body byte
+    is read.  No body is ever sent, so a handler that tried to read one
+    would block until the client timeout instead of answering."""
+
+    def _post_headers_only(self, server, length: str):
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.putrequest("POST", "/v1/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read().decode())
+        finally:
+            conn.close()
+
+    def test_malformed_content_length_is_400(self, server):
+        status, payload = self._post_headers_only(server, "twelve")
+        assert status == 400 and "Content-Length" in payload["error"]
+        assert _counter("core.serve.requests.rejected") == 1
+
+    def test_negative_content_length_is_400(self, server):
+        status, payload = self._post_headers_only(server, "-1")
+        assert status == 400 and "Content-Length" in payload["error"]
+        assert _counter("core.serve.requests.rejected") == 1
+
+    def test_oversized_content_length_is_413(self, server):
+        status, payload = self._post_headers_only(server, str(MAX_BODY_BYTES + 1))
+        assert status == 413 and "exceeds" in payload["error"]
+        assert _counter("core.serve.requests.rejected") == 1
+        assert _counter("core.serve.jobs.submitted") == 0
 
 
 class TestCacheVerification:
