@@ -38,7 +38,7 @@ chaos:
 
 # Reduced-scale sweep over every figure plus the blocking-vs-overlapped
 # exchange ablation, the pipeline farm-width sweep, the host-time
-# ablations, and the autotuning ablation; writes BENCH_PR9.json.
+# levers, and the autotuning ablation; writes BENCH_PR9.json.
 bench:
 	$(PYTHON) -m repro.bench all
 
@@ -64,14 +64,15 @@ perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload all --smoke --trace 0
 	$(PYTHON) perfbench/run.py --workload all --smoke --trace 1
 
-# Process-parallel smoke: serial vs one-OS-process-per-rank, digest
-# identity checked on every row.  The speedup floor is generous (real
-# multi-core hosts measure well above it) and applies only when the
-# host has >= 4 usable cores — below that there is nothing to win.
+# Process-parallel lever smoke: serial vs one-OS-process-per-rank,
+# digest identity checked on every row.  The speedup floor is generous
+# (real multi-core hosts measure well above it) and applies only when
+# the host has the lever's minimum of 4 usable cores — below that there
+# is nothing to win.
 bench-parallel:
-	$(PYTHON) -m repro.bench parallel --repeats 1 --min-speedup 1.1 --min-cpus 4
+	$(PYTHON) -m repro.bench parallel --repeats 1 --min-speedup 1.1
 
-# Kernel-fusion smoke: fused vs unfused par-loop execution, digest
+# Kernel-fusion lever smoke: fused vs unfused par-loop execution, digest
 # identity checked on every row.  The floor is deliberately generous
 # (0.2x trips only if fusion catastrophically regresses or the A/B
 # harness breaks) because host timing on shared CI runners is noisy;

@@ -1,16 +1,19 @@
 """Named application workloads: one registry from app names to runs.
 
-Before this module each CLI kept its own ad-hoc app table — the obs CLI
-(:mod:`repro.obs.workloads`), the host-time bench ablations
-(:mod:`repro.bench.parallel`), the cross-backend digest matrix
-(:mod:`repro.verify.crossbackend`), and the conformance registry
-(:mod:`repro.verify.conformance`) all re-spelled "how do I run mergesort
-on 4 ranks" with slightly different inputs.  The job server
-(:mod:`repro.serve`) needs the same resolution over a wire protocol, so
-the lookup becomes one shared source of truth: an :class:`AppSpec` per
+Every consumer that needs "how do I run mergesort on 4 ranks" — the obs
+CLI, the host-time A/B levers (:mod:`repro.bench.ab`), the autotuner,
+the cross-backend digest matrix (:mod:`repro.verify.crossbackend`), the
+conformance registry (:mod:`repro.verify.conformance`) and the job
+server (:mod:`repro.serve`) — resolves it here: an :class:`AppSpec` per
 application, resolvable by string, with JSON-able parameters (every knob
 is a scalar with a default) so a request like ``{"app": "poisson",
 "params": {"nx": 64}}`` fully determines a run.
+
+A spec also declares what is known about the program's performance: the
+paper's archetypes "may also be helpful in developing performance models
+for classes of programs with common structure" (§1.1), so an app with a
+closed-form model carries it as :attr:`AppSpec.predict`, and the tuner
+and the obs CLI ask the spec rather than keeping tables of their own.
 
 Determinism contract: an app's runner derives *all* of its input from
 the parameter dict (data seeds included), so two runs with equal
@@ -50,6 +53,11 @@ class AppSpec:
     #: reduced sizes for verification runs (conformance programs and the
     #: cross-backend digest matrix) — overrides applied onto defaults
     verify_overrides: Mapping[str, Any] = field(default_factory=dict)
+    #: ``predict(params, machine, proc_grid=None) -> float``: the
+    #: closed-form virtual makespan (:mod:`repro.bench.predict`) of a run
+    #: with full *params* (defaults overlaid); ``None`` when the app has
+    #: no model
+    predict: Callable[..., float] | None = None
 
     def params_with(self, overrides: Mapping[str, Any] | None = None) -> dict:
         """Defaults overlaid with *overrides*; unknown keys are an error."""
@@ -285,12 +293,76 @@ def _run_knapfarm(params: dict, *, machine, mode, trace) -> RunResult:
     )
 
 
+# Performance-model adapters: map a params dict onto the closed forms of
+# repro.bench.predict (imported lazily — the registry must not import
+# repro.bench).  *proc_grid* is the process grid the run will use, or
+# None for the default factorisation.
+
+
+def _predict_mergesort(params: Mapping, machine, proc_grid=None) -> float:
+    from repro.bench.predict import predict_onedeep_sort
+
+    return predict_onedeep_sort(params["n"], params["nprocs"], machine)
+
+
+def _predict_poisson(params: Mapping, machine, proc_grid=None) -> float:
+    from repro.bench.predict import predict_poisson
+
+    return predict_poisson(
+        params["nx"],
+        params["ny"],
+        params["max_iters"],
+        params["nprocs"],
+        machine,
+        proc_grid=proc_grid,
+        overlap=params["overlap"],
+    )
+
+
+def _predict_cfd(params: Mapping, machine, proc_grid=None) -> float:
+    from repro.bench.predict import predict_cfd
+
+    return predict_cfd(
+        params["nx"],
+        params["ny"],
+        params["steps"],
+        params["nprocs"],
+        machine,
+        proc_grid=proc_grid,
+        cfl_interval=params["cfl_interval"],
+        overlap=params["overlap"],
+    )
+
+
+def _predict_smog(params: Mapping, machine, proc_grid=None) -> float:
+    from repro.bench.predict import predict_smog
+
+    return predict_smog(
+        params["nx"],
+        params["ny"],
+        params["steps"],
+        params["nprocs"],
+        machine,
+        chem_substeps=params["chem_substeps"],
+        proc_grid=proc_grid,
+    )
+
+
+def _predict_fft2d(params: Mapping, machine, proc_grid=None) -> float:
+    from repro.bench.predict import predict_fft2d
+
+    return predict_fft2d(
+        params["rows"], params["cols"], params["repeats"], params["nprocs"], machine
+    )
+
+
 register(
     AppSpec(
         name="mergesort",
         archetype="one-deep-dc",
         description="one-deep mergesort (divide and conquer)",
         runner=_run_mergesort,
+        predict=_predict_mergesort,
         defaults={"nprocs": 4, "n": 4096, "seed": 0},
         verify_overrides={"n": 512},
     )
@@ -301,6 +373,7 @@ register(
         archetype="mesh-spectral",
         description="Jacobi Poisson solver (mesh; ghost exchanges per sweep)",
         runner=_run_poisson,
+        predict=_predict_poisson,
         defaults={
             "nprocs": 4,
             "nx": 48,
@@ -319,6 +392,7 @@ register(
         archetype="mesh-spectral",
         description="compressible-flow step loop (packed exchanges, CFL reductions)",
         runner=_run_cfd,
+        predict=_predict_cfd,
         defaults={
             "nprocs": 4,
             "nx": 32,
@@ -362,6 +436,7 @@ register(
         archetype="mesh-spectral",
         description="airshed photochemical smog model (fused transport/chemistry)",
         runner=_run_smog,
+        predict=_predict_smog,
         defaults={
             "nprocs": 4,
             "nx": 24,
@@ -399,6 +474,7 @@ register(
         archetype="mesh-spectral",
         description="distributed 2-D FFT (spectral; all-to-all transposes)",
         runner=_run_fft2d,
+        predict=_predict_fft2d,
         defaults={"nprocs": 4, "rows": 64, "cols": 64, "repeats": 2, "seed": 0},
         verify_overrides={"rows": 16, "cols": 16, "repeats": 1},
     )

@@ -15,23 +15,21 @@ Usage::
 
 Each figure command runs the corresponding experiment, prints the
 speedup table and an ASCII plot, and optionally writes the series as
-JSON.  ``parallel`` measures *host* seconds for the messaging-heavy
-workloads on the deterministic backend vs one-OS-process-per-rank
-(:mod:`repro.runtime.parallel`); virtual time is identical on both,
-which is digest-checked.  ``kernels``
-measures host seconds with par-loop fusion forced off vs on
-(:mod:`repro.bench.kernels`) — the plan, virtual clocks, and digests
-are identical in both modes; only the group-body walk changes.
-``pipeline`` sweeps the image pipeline's blur-farm width and reports
-virtual-time throughput and per-frame latency on both modelled
+JSON.  One subcommand per host-time lever of :mod:`repro.bench.ab`
+(``parallel``: deterministic backend vs one OS process per rank;
+``kernels``: par-loop fusion off vs on) measures *host* seconds for the
+lever's registry apps, sampling the two sides interleaved; virtual time
+and digests must be identical on both sides, which is checked on every
+row.  ``pipeline`` sweeps the image pipeline's blur-farm width and
+reports virtual-time throughput and per-frame latency on both modelled
 machines.  ``tune`` runs exhaustive autotuning searches
 (:mod:`repro.bench.tune`) over the modern machine models and reports
 tuned-vs-default virtual makespans, prediction error, and prune
 hit-rates.  ``all`` sweeps every figure at a reduced problem scale,
 runs the blocking-vs-overlapped exchange ablation, the pipeline
-farm-width sweep, the two host-time ablations, and the autotuning
-ablation, and emits a machine-readable artifact (``BENCH_PR9.json``)
-so the performance trajectory can be tracked across PRs.
+farm-width sweep, every host-time lever, and the autotuning ablation,
+and emits a machine-readable artifact (``BENCH_PR9.json``) so the
+performance trajectory can be tracked across PRs.
 """
 
 from __future__ import annotations
@@ -40,9 +38,7 @@ import argparse
 import json
 import sys
 
-from repro.bench import figures
-from repro.bench import kernels as kernels_bench
-from repro.bench import parallel as parallel_bench
+from repro.bench import ab, figures
 from repro.bench import tune as tune_bench
 from repro.bench.harness import SpeedupCurve
 from repro.bench.report import format_curves, render_ascii_plot
@@ -159,29 +155,20 @@ def run_all(json_path: str) -> int:
     }
     print()
     print(render_pipeline_table(pipeline_rows))
-    parallel_rows = parallel_bench.run_ablation()
-    report["parallel"] = {
-        "description": "simulator host-seconds, deterministic backend vs "
-        "one OS process per rank (virtual time identical)",
-        "procs": parallel_bench.DEFAULT_NPROCS,
-        "repeats": parallel_bench.DEFAULT_REPEATS,
-        "host_cpus": parallel_bench.host_cpus(),
-        "rows": [r.to_json() for r in parallel_rows],
-    }
-    print()
-    print(parallel_bench.render_table(parallel_rows))
-    problems = parallel_bench.check_rows(parallel_rows, min_speedup=None)
-    kernel_rows = kernels_bench.run_ablation()
-    report["kernels"] = {
-        "description": "simulator host-seconds, par-loop fusion off vs on "
-        "(plan and virtual time identical)",
-        "procs": kernels_bench.DEFAULT_NPROCS,
-        "repeats": kernels_bench.DEFAULT_REPEATS,
-        "rows": [r.to_json() for r in kernel_rows],
-    }
-    print()
-    print(kernels_bench.render_table(kernel_rows))
-    problems += kernels_bench.check_rows(kernel_rows, min_speedup=None)
+    problems: list[str] = []
+    for lever in ab.LEVERS.values():
+        rows = ab.run_ablation(lever)
+        report[lever.name] = {
+            "description": f"simulator host-seconds, {lever.description} "
+            "(virtual time identical)",
+            "procs": lever.nprocs,
+            "repeats": ab.DEFAULT_REPEATS,
+            "host_cpus": ab.host_cpus(),
+            "rows": [r.to_json() for r in rows],
+        }
+        print()
+        print(ab.render_table(lever, rows))
+        problems += ab.check_rows(lever, rows, min_speedup=None)
     tune_rows = tune_bench.run_ablation()
     report["tune"] = {
         "description": "autotuned vs default virtual makespan, exhaustive "
@@ -213,17 +200,16 @@ def main(argv: list[str] | None = None) -> int:
             *FIGURES,
             "overlap",
             "pipeline",
-            "parallel",
-            "kernels",
+            *ab.LEVERS,
             "tune",
             "all",
             "list",
         ],
         help="figure to regenerate, 'overlap' for the blocking-vs-"
         "overlapped exchange ablation, 'pipeline' for the image-pipeline "
-        "farm-width sweep, 'parallel' for the serial-vs-process-"
-        "parallel ablation, 'kernels' for the par-loop fusion ablation, "
-        "'tune' for the autotuned-vs-default makespan ablation, "
+        "farm-width sweep, a host-time lever "
+        f"({', '.join(repr(n) for n in ab.LEVERS)}), 'tune' for the "
+        "autotuned-vs-default makespan ablation, "
         f"'all' for the reduced-scale sweep (writes {ARTIFACT}), "
         "or 'list' to enumerate them",
     )
@@ -234,149 +220,94 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--repeats",
         type=int,
-        default=parallel_bench.DEFAULT_REPEATS,
-        help="parallel/kernels: host-time samples per mode (best-of)",
+        default=ab.DEFAULT_REPEATS,
+        help="levers: host-time samples per side (best-of)",
     )
     parser.add_argument(
         "--min-speedup",
         type=float,
         default=None,
         metavar="X",
-        help="parallel/kernels: fail unless the speedup clears X "
-        "(the CI smoke's generous regression floor; for 'parallel' the "
-        "best row must clear it, and only on hosts with --min-cpus cores)",
-    )
-    parser.add_argument(
-        "--min-cpus",
-        type=int,
-        default=4,
-        metavar="N",
-        help="parallel only: apply --min-speedup only when the host has "
-        "at least N usable cores (speedup is capped by core count)",
+        help="levers: fail unless the best row's speedup clears X (the CI "
+        "smoke's generous regression floor; applied only on hosts with at "
+        "least the lever's minimum core count)",
     )
     parser.add_argument(
         "--nprocs",
         type=int,
         default=None,
         metavar="P",
-        help="parallel/kernels: rank count for the ablation "
-        f"(default {parallel_bench.DEFAULT_NPROCS} for parallel, "
-        f"{kernels_bench.DEFAULT_NPROCS} for kernels)",
+        help="levers: rank count for the A/B (default: the lever's, "
+        + ", ".join(f"{lv.nprocs} for {lv.name}" for lv in ab.LEVERS.values())
+        + ")",
     )
     parser.add_argument(
         "--apps",
         nargs="+",
-        choices=sorted(set(parallel_bench.WORKLOADS) | set(kernels_bench.WORKLOADS)),
         default=None,
         metavar="APP",
-        help="parallel/kernels: restrict the ablation to these "
-        "registry workloads (default: all the command knows)",
+        help="levers: restrict the A/B to these of the lever's registry "
+        "apps (default: all of them)",
     )
     args = parser.parse_args(argv)
-
-    def known_apps(workloads: dict) -> list[str] | None:
-        """The requested apps this command's ablation knows (the --apps
-        choices are the union across commands)."""
-        if args.apps is None:
-            return None
-        picked = [a for a in args.apps if a in workloads]
-        if not picked:
-            parser.error(
-                f"none of {args.apps} apply here; choose from {sorted(workloads)}"
-            )
-        return picked
 
     if args.figure == "list":
         for name, (_, description) in FIGURES.items():
             print(f"  {name}: {description}")
         print("  overlap: blocking vs overlapped ghost-exchange ablation")
         print("  pipeline: image-pipeline throughput/latency vs farm width")
-        print("  parallel: serial vs process-parallel host-time ablation")
-        print("  kernels: par-loop fusion host-time ablation (off vs on)")
+        for lever in ab.LEVERS.values():
+            print(
+                f"  {lever.name}: host-time A/B, {lever.description} "
+                f"(apps: {', '.join(lever.rows)})"
+            )
         print("  tune: autotuned vs default virtual-makespan ablation")
-        print("ablation workloads (from the shared app registry):")
-        for name, (_, description) in sorted(parallel_bench.WORKLOADS.items()):
-            print(f"  {name}: {description}")
         return 0
 
     if args.figure == "all":
         return run_all(args.json or ARTIFACT)
 
-    if args.figure == "parallel":
-        rows = parallel_bench.run_ablation(
-            apps=known_apps(parallel_bench.WORKLOADS),
-            nprocs=args.nprocs or parallel_bench.DEFAULT_NPROCS,
-            repeats=args.repeats,
+    problems: list[str] = []
+    if args.figure in ab.LEVERS:
+        lever = ab.LEVERS[args.figure]
+        unknown = sorted(set(args.apps or ()) - set(lever.rows))
+        if unknown:
+            parser.error(
+                f"--apps: the {lever.name} lever has no app(s) {unknown}; "
+                f"choose from {list(lever.rows)}"
+            )
+        rows = ab.run_ablation(
+            lever, apps=args.apps, nprocs=args.nprocs, repeats=args.repeats
         )
-        print(parallel_bench.render_table(rows))
-        problems = parallel_bench.check_rows(
-            rows, min_speedup=args.min_speedup, min_cpus=args.min_cpus
-        )
-        for p in problems:
-            print(f"FAIL: {p}")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump([r.to_json() for r in rows], fh, indent=2)
-            print(f"\nseries written to {args.json}")
-        return 1 if problems else 0
-
-    if args.figure == "kernels":
-        rows = kernels_bench.run_ablation(
-            apps=known_apps(kernels_bench.WORKLOADS),
-            nprocs=args.nprocs or kernels_bench.DEFAULT_NPROCS,
-            repeats=args.repeats,
-        )
-        print(kernels_bench.render_table(rows))
-        problems = kernels_bench.check_rows(rows, min_speedup=args.min_speedup)
-        for p in problems:
-            print(f"FAIL: {p}")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump([r.to_json() for r in rows], fh, indent=2)
-            print(f"\nseries written to {args.json}")
-        return 1 if problems else 0
-
-    if args.figure == "tune":
+        table = ab.render_table(lever, rows)
+        problems = ab.check_rows(lever, rows, min_speedup=args.min_speedup)
+        series = [r.to_json() for r in rows]
+    elif args.figure == "tune":
         rows = tune_bench.run_ablation()
-        print(tune_bench.render_table(rows))
+        table = tune_bench.render_table(rows)
         problems = tune_bench.check_rows(rows)
-        for p in problems:
-            print(f"FAIL: {p}")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump([r.to_json() for r in rows], fh, indent=2)
-            print(f"\nseries written to {args.json}")
-        return 1 if problems else 0
-
-    if args.figure == "overlap":
-        rows = figures.overlap_ablation()
-        print(render_overlap_table(rows))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(rows, fh, indent=2)
-            print(f"\nseries written to {args.json}")
-        return 0
-
-    if args.figure == "pipeline":
-        rows = figures.pipeline_farm()
-        print(render_pipeline_table(rows))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(rows, fh, indent=2)
-            print(f"\nseries written to {args.json}")
-        return 0
-
-    experiment, description = FIGURES[args.figure]
-    curves = experiment()
-    print(format_curves(f"{args.figure} — {description}", curves))
-    if not args.no_plot:
-        print()
-        print(render_ascii_plot(curves))
+        series = [r.to_json() for r in rows]
+    elif args.figure == "overlap":
+        series = figures.overlap_ablation()
+        table = render_overlap_table(series)
+    elif args.figure == "pipeline":
+        series = figures.pipeline_farm()
+        table = render_pipeline_table(series)
+    else:
+        experiment, description = FIGURES[args.figure]
+        curves = experiment()
+        table = format_curves(f"{args.figure} — {description}", curves)
+        if not args.no_plot:
+            table += "\n\n" + render_ascii_plot(curves)
+        series = curves_to_json(curves)
+    print(table)
+    for p in problems:
+        print(f"FAIL: {p}")
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(curves_to_json(curves), fh, indent=2)
+            json.dump(series, fh, indent=2)
         print(f"\nseries written to {args.json}")
-    return 0
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

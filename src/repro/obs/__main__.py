@@ -7,11 +7,13 @@ Usage::
     python -m repro.obs fft2d --compare-model --machine intel-delta
     python -m repro.obs --smoke        # the make obs-smoke CI gate
 
-Runs a small traced archetype application (Poisson, one-deep mergesort,
-or 2-D FFT) and reports on it: trace summary + metrics, critical path,
+Runs any application of the shared app registry
+(:mod:`repro.apps.registry`) at its registered default sizes with
+tracing on, and reports on it: trace summary + metrics, critical path,
 Chrome trace-event export (open the file at https://ui.perfetto.dev),
-and measured-vs-model comparison.  With no report flags, ``--summary``
-is implied.
+and measured-vs-model comparison for apps that declare a closed-form
+model (``AppSpec.predict``).  With no report flags, ``--summary`` is
+implied.
 """
 
 from __future__ import annotations
@@ -21,19 +23,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.apps import registry
 from repro.machines.catalog import get_machine, list_machines
 from repro.obs.chrome import export_chrome_trace
 from repro.obs.critical import critical_path, rank_activity, render_comm_matrix
 from repro.obs.metrics import get_registry, scoped_registry
-from repro.obs.workloads import WORKLOADS, WorkloadRun
+from repro.runtime.spmd import RunResult
 from repro.trace.analysis import render_gantt, summarize
 
 
-def _print_summary(run: WorkloadRun) -> None:
-    tracer = run.result.tracer
+def _print_summary(spec: registry.AppSpec, params: dict, result: RunResult) -> None:
+    tracer = result.tracer
     summary = summarize(tracer)
-    print(f"{run.description} on {run.nprocs} rank(s)")
-    print(f"virtual makespan: {run.measured:.6g}s")
+    print(f"{spec.name}: {spec.description} on {result.nprocs} rank(s)")
+    print("params: " + ", ".join(f"{k}={v}" for k, v in params.items()))
+    print(f"virtual makespan: {result.elapsed:.6g}s")
     print()
     print("rank  compute      comm         idle         sent     received")
     for rs in summary.ranks:
@@ -57,23 +61,23 @@ def _print_summary(run: WorkloadRun) -> None:
     print(get_registry().render())
 
 
-def _print_critical_path(run: WorkloadRun) -> None:
-    report = critical_path(run.result.tracer)
+def _print_critical_path(result: RunResult) -> None:
+    report = critical_path(result.tracer)
     print(report.render())
     print()
     print("per-rank activity (seconds):")
     print("rank  compute      send         recv         wait         idle")
-    for act in rank_activity(run.result.tracer):
+    for act in rank_activity(result.tracer):
         print(
             f"{act.rank:>4}  {act.compute:<11.6g}  {act.send:<11.6g}  "
             f"{act.recv:<11.6g}  {act.wait:<11.6g}  {act.idle:<11.6g}"
         )
 
 
-def _print_comparison(run: WorkloadRun) -> None:
-    machine = run.result.machine
-    measured = run.measured
-    predicted = run.predicted
+def _print_comparison(spec: registry.AppSpec, params: dict, result: RunResult) -> None:
+    machine = result.machine
+    measured = result.elapsed
+    predicted = spec.predict(params, machine)
     ratio = measured / predicted if predicted > 0 else float("inf")
     print(f"machine: {machine.describe()}")
     print(f"measured (simulated) makespan: {measured:.6g}s")
@@ -97,18 +101,20 @@ def smoke(machine_name: str = "ibm-sp") -> int:
     with tempfile.TemporaryDirectory(prefix="repro-obs-smoke-") as tmp:
         for app in ("poisson", "mergesort"):
             with scoped_registry():
-                run = WORKLOADS[app](4, machine)
+                result = registry.get(app).run(
+                    {"nprocs": 4}, machine=machine, trace=True
+                )
                 path = Path(tmp) / f"{app}.trace.json"
-                data = export_chrome_trace(run.result.tracer, path)
-                report = critical_path(run.result.tracer)
-                drift = abs(report.length - run.measured)
-                ok = drift <= 1e-9 * max(run.measured, 1.0)
+                data = export_chrome_trace(result.tracer, path)
+                report = critical_path(result.tracer)
+                drift = abs(report.length - result.elapsed)
+                ok = drift <= 1e-9 * max(result.elapsed, 1.0)
                 recorded = len(get_registry().names())
                 status = "ok" if ok else "FAIL"
                 print(
                     f"[{status}] {app}: {len(data['traceEvents'])} trace events "
                     f"exported and validated; critical path {report.length:.6g}s "
-                    f"vs makespan {run.measured:.6g}s; {recorded} metrics recorded"
+                    f"vs makespan {result.elapsed:.6g}s; {recorded} metrics recorded"
                 )
                 if not ok:
                     failures += 1
@@ -129,11 +135,16 @@ def main(argv: list[str] | None = None) -> int:
         "app",
         nargs="?",
         default="poisson",
-        choices=sorted(WORKLOADS),
-        help="application to run (default: poisson)",
+        choices=registry.names(),
+        help="registry application to run at its default sizes "
+        "(default: poisson)",
     )
     parser.add_argument(
-        "--procs", type=int, default=4, metavar="N", help="rank count (default: 4)"
+        "--procs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="rank count (default: the app's own nprocs default)",
     )
     parser.add_argument(
         "--machine",
@@ -159,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--compare-model",
         action="store_true",
-        help="measured makespan vs the closed-form MachineModel prediction",
+        help="measured makespan vs the app's closed-form model prediction",
     )
     parser.add_argument(
         "--smoke",
@@ -172,29 +183,42 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         return smoke(args.machine)
 
-    if args.procs < 1:
-        parser.error("--procs must be >= 1")
+    spec = registry.get(args.app)
+    overrides = {}
+    if args.procs is not None:
+        if "nprocs" not in spec.defaults:
+            parser.error(f"--procs: {spec.name} derives its rank count from its stages")
+        if args.procs < 1:
+            parser.error("--procs must be >= 1")
+        overrides["nprocs"] = args.procs
+    if args.compare_model and spec.predict is None:
+        modelled = [s.name for s in registry.specs() if s.predict is not None]
+        parser.error(
+            f"--compare-model: {spec.name} has no closed-form model; "
+            f"apps with one: {', '.join(modelled)}"
+        )
+    params = spec.params_with(overrides)
     machine = get_machine(args.machine)
     wants_report = args.summary or args.critical_path or args.compare_model
     if not wants_report and not args.export_chrome:
         args.summary = True
 
     with scoped_registry():
-        run = WORKLOADS[args.app](args.procs, machine)
+        result = spec.run(overrides, machine=machine, trace=True)
         sections: list = []
         if args.summary:
-            sections.append(lambda: _print_summary(run))
+            sections.append(lambda: _print_summary(spec, params, result))
         if args.critical_path:
-            sections.append(lambda: _print_critical_path(run))
+            sections.append(lambda: _print_critical_path(result))
         if args.compare_model:
-            sections.append(lambda: _print_comparison(run))
+            sections.append(lambda: _print_comparison(spec, params, result))
         for i, section in enumerate(sections):
             if i:
                 print()
                 print("-" * 64)
             section()
         if args.export_chrome:
-            data = export_chrome_trace(run.result.tracer, args.export_chrome)
+            data = export_chrome_trace(result.tracer, args.export_chrome)
             print(
                 f"wrote {len(data['traceEvents'])} trace events to "
                 f"{args.export_chrome} (open in https://ui.perfetto.dev)"

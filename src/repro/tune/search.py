@@ -1,7 +1,8 @@
 """The search driver: predict, prune, measure, rank, persist.
 
 ``search(app, machine)`` enumerates the app's candidate space, prunes
-it with the closed-form predictions, measures the survivors' *virtual*
+it with the app's declared closed-form prediction
+(:attr:`repro.apps.registry.AppSpec.predict`), measures the survivors' *virtual*
 makespans, and persists the winner to the catalog.  Three properties
 make the loop trustworthy:
 
@@ -36,7 +37,6 @@ from repro.machines.model import MachineModel
 from repro.obs.metrics import counter_handle, gauge_handle
 from repro.tune import catalog
 from repro.tune.catalog import TunedConfig, TunedEntry
-from repro.tune.predict import predict_candidate, prune
 from repro.tune.space import build_space, canonical_digest, space_signature
 
 _GENERATED = counter_handle(
@@ -56,6 +56,12 @@ _ACCURACY = gauge_handle(
     help="fraction of pruned candidates verified no better than the winner "
     "(exhaustive searches only)",
 )
+
+#: survivors are candidates predicted within this factor of the best
+#: prediction — wide enough to absorb the skew/wait effects the closed
+#: forms ignore (the test suite holds model-vs-simulator agreement to
+#: ~10%), tight enough to discard clearly-lost grid shapes
+PRUNE_SLACK = 1.15
 
 #: candidate dispositions, in the order they are decided
 PRUNED, MEASURED, REJECTED, WINNER = "pruned", "measured", "digest-reject", "winner"
@@ -100,6 +106,35 @@ class SearchOutcome:
             else:
                 out["measured"] += 1
         return out
+
+
+def predict_candidate(
+    spec: registry.AppSpec,
+    params: Mapping[str, Any],
+    machine: MachineModel,
+    config: TunedConfig,
+) -> float | None:
+    """Predicted virtual makespan of *config* from the app's declared
+    :attr:`~repro.apps.registry.AppSpec.predict`, or ``None`` when the
+    app has no model (it is then never pruned — measuring every candidate
+    is the honest fallback).
+
+    Kernel tile bytes and shm thresholds are host wall-clock knobs the
+    virtual clock cannot see, so candidates varying only those inherit
+    the base prediction unchanged.
+    """
+    if spec.predict is None:
+        return None
+    return spec.predict({**params, **config.params}, machine, config.proc_grid)
+
+
+def prune(predictions: list[float | None]) -> list[bool]:
+    """Keep-flags per candidate: candidate 0 (the default) and every
+    unpredicted candidate always survive; predicted candidates survive
+    within :data:`PRUNE_SLACK` of the best prediction."""
+    finite = [p for p in predictions if p is not None]
+    cutoff = PRUNE_SLACK * min(finite) if finite else None
+    return [i == 0 or p is None or p <= cutoff for i, p in enumerate(predictions)]
 
 
 def _measure(

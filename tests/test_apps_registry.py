@@ -5,6 +5,7 @@ import pytest
 from repro.apps import registry
 from repro.apps.registry import AppSpec
 from repro.errors import ReproError
+from repro.machines.catalog import get_machine
 from repro.verify.digest import value_digest
 
 EXPECTED_APPS = {"mergesort", "poisson", "fft2d", "imagepipe", "knapfarm"}
@@ -124,8 +125,11 @@ class TestSharedConsumers:
                 registry.get(n).archetype for n in registry.names()
             }
 
-    def test_wallclock_descriptions_come_from_registry(self):
-        from repro.bench.parallel import WORKLOADS
+    def test_lever_apps_resolve_in_registry(self):
+        from repro.bench.ab import LEVERS
 
-        for name, (_, description) in WORKLOADS.items():
-            assert description == registry.get(name).description
+        for lever in LEVERS.values():
+            for app, (machine, overrides) in lever.rows.items():
+                get_machine(machine)
+                # the exact params Lever.run passes (unknown keys raise)
+                registry.get(app).params_with({**overrides, "nprocs": lever.nprocs})

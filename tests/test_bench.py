@@ -1,5 +1,7 @@
 """Benchmark harness, reporting, and small-scale figure experiments."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,28 @@ class TestBenchArtifact:
         from repro.bench.__main__ import ARTIFACT
 
         assert ARTIFACT == "BENCH_PR9.json"
+
+
+class TestABHarness:
+    def test_digest_gate_reports_a_lever_that_changes_results(self):
+        """A lever whose on side changes the process grid changes the
+        virtual clocks, so the row is not identical and the gate says so."""
+        from repro.bench.ab import Lever, check_rows, run_ablation
+        from repro.comm.cart import proc_grid_override
+
+        lever = Lever(
+            name="grid",
+            description="default 2x2 vs 4x1 process grid",
+            labels=("square", "flat"),
+            off=contextlib.nullcontext,
+            on=lambda: proc_grid_override((4, 1)),
+            nprocs=4,
+            rows={"poisson": ("ibm-sp", {})},
+        )
+        (row,) = run_ablation(lever, repeats=1)
+        assert row.identical is False
+        assert {"wall_square_seconds", "wall_flat_seconds"} <= set(row.to_json())
+        problems = check_rows(lever, [row], min_speedup=None)
+        assert problems == [
+            "poisson: the grid lever changed observable results (digest mismatch)"
+        ]

@@ -595,3 +595,25 @@ class TestCli:
 
         with pytest.raises(ReproError):
             main(["poisson", "--machine", "nonesuch"])
+
+    def test_runs_any_registry_app(self, capsys):
+        from repro.obs.__main__ import main
+
+        assert main(["imagepipe"]) == 0
+        assert "imagepipe" in capsys.readouterr().out
+
+    def test_rejects_procs_for_app_without_nprocs(self, capsys):
+        from repro.obs.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["imagepipe", "--procs", "4"])
+        assert "--procs" in capsys.readouterr().err
+
+    def test_rejects_compare_model_without_predict(self, capsys):
+        from repro.obs.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["spectralflow", "--compare-model"])
+        err = capsys.readouterr().err
+        assert "no closed-form model" in err
+        assert "poisson" in err and "mergesort" in err

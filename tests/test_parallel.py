@@ -94,14 +94,15 @@ class TestDigestIdentity:
     @pytest.mark.parametrize("app", ["poisson", "fft2d", "mergesort"])
     @pytest.mark.parametrize("backend", ["threads", "parallel"])
     def test_app_matrix(self, app, backend, monkeypatch):
-        """The cross-backend matrix: deterministic × threads × parallel."""
-        from repro.bench.parallel import WORKLOADS
+        """The cross-backend matrix: deterministic × threads × parallel,
+        over the ``parallel`` lever's rows."""
+        from repro.bench.ab import LEVERS
 
-        runner, _ = WORKLOADS[app]
+        lever = LEVERS["parallel"]
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        reference = _digest(runner(4, 1))
+        reference = _digest(lever.run(app, 4))
         monkeypatch.setenv("REPRO_BACKEND", backend)
-        assert _digest(runner(4, 1)) == reference
+        assert _digest(lever.run(app, 4)) == reference
 
     def test_cross_backend_report(self):
         from repro.verify.crossbackend import cross_backend_matrix

@@ -20,7 +20,9 @@ from repro.bench.predict import (
     predict_smog,
     ring_allgather_time,
 )
+from repro.apps import registry
 from repro.machines.catalog import CRAY_T3D, ETHERNET_SUNS, IBM_SP, INTEL_DELTA
+from repro.tune import catalog
 
 TOLERANCE = 0.45  # relative error bound for whole-program predictions
 
@@ -146,3 +148,30 @@ class TestProgramPredictions:
         s4 = t_seq / predict_onedeep_sort(n, 4, INTEL_DELTA)
         assert s32 > 4 * s4 * 0.5
         assert s32 > 15
+
+
+_PREDICTED = [spec for spec in registry.specs() if spec.predict is not None]
+
+
+class TestRegistryPredictions:
+    """Every ``AppSpec.predict`` adapter maps the app's parameters onto
+    its closed form correctly: at registry defaults the prediction
+    tracks the simulated makespan."""
+
+    def test_predicted_apps(self):
+        assert {spec.name for spec in _PREDICTED} == {
+            "poisson",
+            "cfd",
+            "smog",
+            "fft2d",
+            "mergesort",
+        }
+
+    @pytest.mark.parametrize("machine", [IBM_SP, INTEL_DELTA], ids=lambda m: m.name)
+    @pytest.mark.parametrize("spec", _PREDICTED, ids=lambda s: s.name)
+    def test_default_run_agrees(self, spec, machine):
+        params = spec.params_with(None)
+        with catalog.disabled():
+            simulated = spec.run(params, machine=machine).elapsed
+        predicted = spec.predict(params, machine)
+        assert _agree(predicted, simulated), (spec.name, predicted, simulated)

@@ -22,8 +22,13 @@ from repro.serve.executor import execute
 from repro.serve.protocol import JobRequest
 from repro.tune import catalog
 from repro.tune.catalog import TunedConfig, TunedEntry
-from repro.tune.predict import PRUNE_SLACK, predict_candidate, prune
-from repro.tune.search import REJECTED, search
+from repro.tune.search import (
+    PRUNE_SLACK,
+    REJECTED,
+    predict_candidate,
+    prune,
+    search,
+)
 from repro.tune.space import build_space, canonical_digest
 
 TINY_POISSON = {"nx": 12, "ny": 12, "max_iters": 2}
